@@ -5,15 +5,32 @@ import "math/rand"
 // RNG wraps a seeded deterministic random source. Components derive their
 // own streams so that adding events to one component does not perturb the
 // random sequence seen by another.
+//
+// The math/rand source (~4.9 KB, a 607-word seeding loop) is created on
+// the first draw, not at construction: many streams are derived and never
+// drawn from, and a stream's values depend only on its seed, so seeding
+// late yields the same sequence as seeding early.
 type RNG struct {
-	r    *rand.Rand
+	r    *rand.Rand // nil until the first draw
 	seed int64
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return &RNG{seed: seed}
 }
+
+// src returns the source, seeding it on first use. The seeding is kept
+// out of line so that the check inlines into every draw.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.seedSource()
+	}
+	return g.r
+}
+
+//go:noinline
+func (g *RNG) seedSource() { g.r = rand.New(rand.NewSource(g.seed)) }
 
 func fnv1a(label string) int64 {
 	h := int64(1469598103934665603) // FNV-1a offset basis
@@ -28,9 +45,11 @@ func fnv1a(label string) int64 {
 // label so distinct labels yield decorrelated streams. Each Stream call
 // consumes parent state, so the derivation depends on how many streams were
 // drawn before it; use Derive when the caller cannot guarantee a fixed
-// derivation order.
+// derivation order. The child's seed is drawn from the parent now, so
+// the parent's source is seeded here if it was not already; the child's
+// own source waits for its first draw.
 func (g *RNG) Stream(label string) *RNG {
-	return NewRNG(fnv1a(label) ^ g.r.Int63())
+	return NewRNG(fnv1a(label) ^ g.src().Int63())
 }
 
 // Derive returns an independent child generator that is a pure function of
@@ -44,11 +63,12 @@ func (g *RNG) Derive(label string) *RNG {
 
 // Coin returns one uniform [0,1) variate that is a pure function of
 // (seed, label) — the same derivation key as Derive, finished with a
-// splitmix64 mix instead of seeding a full generator. Seeding a
-// math/rand source costs ~20µs (the lagged-Fibonacci state is 607
-// words); samplers that need exactly one decision per label (the
-// telemetry flight recorder's per-client keep/drop coin) would pay that
-// per label. Like Derive it consumes no generator state, so call order
+// splitmix64 mix instead of seeding a full generator. A derived RNG
+// seeds its math/rand source (~20µs, 607 words of lagged-Fibonacci
+// state) on its first draw, so a sampler that needs exactly one decision
+// per label (the telemetry flight recorder's per-client keep/drop coin)
+// would pay that per label; Coin allocates nothing and never seeds a
+// source. Like Derive it consumes no generator state, so call order
 // cannot perturb anything.
 func (g *RNG) Coin(label string) float64 {
 	x := uint64(fnv1a(label) ^ (g.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
@@ -60,22 +80,22 @@ func (g *RNG) Coin(label string) float64 {
 }
 
 // Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Intn returns a uniform int in [0,n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
+func (g *RNG) Int63() int64 { return g.src().Int63() }
 
 // Perm returns a pseudo-random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { return g.src().NormFloat64() }
 
 // ExpFloat64 returns an exponential variate with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
+func (g *RNG) ExpFloat64() float64 { return g.src().ExpFloat64() }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
@@ -85,7 +105,7 @@ func (g *RNG) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.src().Float64() < p
 }
 
 // Uniform returns a uniform value in [lo, hi).
@@ -93,7 +113,7 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.src().Float64()
 }
 
 // UniformDuration returns a uniform duration in [lo, hi).
@@ -101,11 +121,11 @@ func (g *RNG) UniformDuration(lo, hi Time) Time {
 	if hi <= lo {
 		return lo
 	}
-	return lo + Time(g.r.Int63n(int64(hi-lo)))
+	return lo + Time(g.src().Int63n(int64(hi-lo)))
 }
 
 // ExpDuration returns an exponentially distributed duration with the given
 // mean.
 func (g *RNG) ExpDuration(mean Time) Time {
-	return Time(float64(mean) * g.r.ExpFloat64())
+	return Time(float64(mean) * g.src().ExpFloat64())
 }

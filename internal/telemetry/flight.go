@@ -83,10 +83,10 @@ type flight struct {
 	events ring[obs.Event]
 	spans  ring[obs.Span]
 
-	// root carries the sampling seed; Derive consumes no parent state,
-	// so one root serves every per-client derivation. Constructed once —
-	// seeding a math/rand source is the expensive part of an RNG, and a
-	// city-scale run touches a thousand clients.
+	// root carries the sampling seed. Each client's keep/drop decision
+	// is root.Coin keyed by its ID: a pure function of (seed, label) that
+	// reads only the seed, so root never seeds a math/rand source and
+	// the order clients first appear in cannot change a decision.
 	root     *sim.RNG
 	keepFrac float64
 	// keep caches the per-client sampling decision, indexed by client ID
