@@ -7,6 +7,7 @@ import (
 	"spider/internal/ap"
 	"spider/internal/capture"
 	"spider/internal/chaos"
+	"spider/internal/dhcp"
 	"spider/internal/dot11"
 	"spider/internal/ipam"
 	"spider/internal/ipnet"
@@ -171,27 +172,57 @@ func (s *Scenario) Start() {
 		tel.SetProbe(s.telemetryProbe)
 		s.eng.Ticker(tel.Window(), func() { tel.Tick(s.eng.Now()) })
 	}
-
-	// Frame- and probe-path counts accumulate in plain stats and are
-	// pushed into the registry's atomic counters on a coarse cadence
-	// (plus once at Finalize, so exported values are exact). A scrape
-	// between publishes reads values at most five sim-seconds stale —
-	// fine for /v1/metrics — and the frame path never pays an atomic.
-	if s.cfg.Obs != nil {
-		s.eng.Ticker(5*1000*1000*1000, s.publishObs)
-	}
 }
 
-// publishObs flushes stats deltas from the medium and every driver into
-// the observability registry. Runs on the sim goroutine.
-func (s *Scenario) publishObs() {
-	s.medium.PublishObs()
+// metrics is the world's registry view (/v1/metrics): each series reads
+// the typed stats that are its only storage, so a scrape is exact at the
+// clock it runs on. Runs on the sim goroutine, like every reader of
+// those stats.
+func (s *Scenario) metrics() []obs.Metric {
+	var switches, probes, drops uint64
+	var dh dhcp.Counts
 	for _, c := range s.clients {
 		// A client whose StartOffset has not arrived has no stack yet.
-		if c.drv != nil {
-			c.drv.PublishObs()
+		if c.drv == nil {
+			continue
 		}
+		d, l := c.drv.Stats(), c.manager.Stats().DHCP
+		switches += d.Switches
+		probes += d.ProbesSent
+		drops += d.TxQueueDrops
+		dh.Retransmits += l.Retransmits
+		dh.Acks += l.Acks
+		dh.Naks += l.Naks
 	}
+	ph, ip := s.medium.Stats(), s.ipam.Stats()
+	counter := func(name string, v int64) obs.Metric { return obs.Metric{Name: name, Type: "counter", Value: v} }
+	gauge := func(name string, v int64) obs.Metric { return obs.Metric{Name: name, Type: "gauge", Value: v} }
+	out := []obs.Metric{
+		counter("phy.frames_sent", int64(ph.FramesSent)),
+		counter("phy.frames_delivered", int64(ph.FramesDelivered)),
+		counter("phy.frames_lost", int64(ph.FramesLost)),
+		counter("phy.collisions", int64(ph.Collisions)),
+		counter("driver.channel_switches", int64(switches)),
+		counter("driver.probes_sent", int64(probes)),
+		counter("driver.tx_queue_drops", int64(drops)),
+		counter("dhcp.retransmits", int64(dh.Retransmits)),
+		counter("dhcp.acks", int64(dh.Acks)),
+		counter("dhcp.naks", int64(dh.Naks)),
+		counter("ipam.allocs", ip.Allocs),
+		counter("ipam.failovers", ip.Failovers),
+		counter("ipam.reclaimed", ip.Reclaimed),
+		counter("ipam.exhausted", ip.Exhausted),
+		counter("ipam.conflicts", ip.Conflicts),
+		gauge("ipam.leases.reclaimed", ip.Reclaimed),
+	}
+	for _, p := range s.ipam.Status() {
+		out = append(out, gauge("ipam.pool."+p.Name+".used", int64(p.InUse)))
+	}
+	if tel := s.cfg.Telemetry; tel != nil {
+		windows, violations := tel.Counts()
+		out = append(out, counter("telemetry.windows_closed", windows), counter("telemetry.slo_violations", violations))
+	}
+	return out
 }
 
 // telemetryProbe snapshots the world's cumulative counters for the
@@ -266,7 +297,6 @@ func (s *Scenario) StepUntil(t sim.Time) sim.Time {
 // the run use the clock where the scenario actually stopped, which for a
 // batch Run is exactly the configured duration.
 func (s *Scenario) Finalize() []Result {
-	s.publishObs()
 	s.cfg.Obs.CloseOpenSpans(s.eng.Now())
 	s.cfg.Telemetry.Finish(s.eng.Now())
 	// Mid-run-added clients (AddClientNow) sort into ID order with the
@@ -347,9 +377,6 @@ func (s *Scenario) buildWorld() {
 	s.flows = make(map[ipnet.Addr]*flow)
 
 	s.medium = phy.NewMedium(s.eng, s.rng.Stream("phy"), cfg.Phy)
-	if cfg.Obs != nil {
-		s.medium.SetObs(cfg.Obs.Metrics())
-	}
 	if cfg.PCAP != nil {
 		pw := capture.NewWriter(cfg.PCAP)
 		s.medium.SetTap(func(_ dot11.Channel, wire []byte, at sim.Time) {
@@ -413,7 +440,8 @@ func (s *Scenario) buildWorld() {
 		}
 		s.ipam = ipam.MustNew(ic)
 	}
-	s.ipam.SetObs(cfg.Obs.World(), cfg.Obs.Metrics())
+	s.ipam.SetObs(cfg.Obs.World())
+	cfg.Obs.Metrics().SetView(s.metrics)
 
 	// Deploy APs. apList keeps Sites order for chaos targeting.
 	s.aps = make(map[dot11.MACAddr]*ap.AP, len(cfg.Sites))

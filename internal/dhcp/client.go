@@ -25,9 +25,6 @@ type ClientConfig struct {
 	// AcquireWindow bounds the whole acquisition; the default stack tries
 	// for 3 s before going idle.
 	AcquireWindow sim.Time
-	// Obs, when non-nil, resolves the client's counters (retransmits,
-	// acks, naks). Nil disables instrumentation.
-	Obs *obs.Registry
 }
 
 // DefaultClientConfig mirrors a stock DHCP client.
@@ -42,6 +39,13 @@ func DefaultClientConfig() ClientConfig {
 // within the same 3 s window.
 func ReducedClientConfig(timeout sim.Time) ClientConfig {
 	return ClientConfig{RetryTimeout: timeout, AcquireWindow: 3000 * 1000 * 1000}
+}
+
+// Counts tallies clients' message accounting.
+type Counts struct {
+	Retransmits int // messages sent beyond the first of each phase
+	Acks        int // ACKs that bound a lease
+	Naks        int // NAKs that rejected a request
 }
 
 type clientState uint8
@@ -79,12 +83,11 @@ type Client struct {
 	Span  *obs.ActiveSpan
 	phase *obs.ActiveSpan
 
-	// Retransmits counts messages sent beyond the first of each phase.
-	Retransmits int
-
-	obsRetransmits *obs.Counter
-	obsAcks        *obs.Counter
-	obsNaks        *obs.Counter
+	// Tally, when non-nil, is where the client counts its messages (set
+	// by the owner between NewClient and Start). An owner that creates a
+	// client per exchange shares one Tally across them, so its totals are
+	// exact even while an exchange is in flight.
+	Tally *Counts
 }
 
 // NewClient creates a client for one interface. send transmits a message
@@ -100,11 +103,7 @@ func NewClient(eng *sim.Engine, rng *sim.RNG, cfg ClientConfig, mac dot11.MACAdd
 	if send == nil || done == nil {
 		panic("dhcp: NewClient requires send and done callbacks")
 	}
-	return &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done,
-		obsRetransmits: cfg.Obs.Counter("dhcp.retransmits"),
-		obsAcks:        cfg.Obs.Counter("dhcp.acks"),
-		obsNaks:        cfg.Obs.Counter("dhcp.naks"),
-	}
+	return &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done}
 }
 
 // Start begins acquisition. If cached is non-nil the client skips Discover
@@ -154,9 +153,8 @@ func (c *Client) cancelTimer() {
 }
 
 func (c *Client) transmit(first bool) {
-	if !first {
-		c.Retransmits++
-		c.obsRetransmits.Inc()
+	if !first && c.Tally != nil {
+		c.Tally.Retransmits++
 	}
 	c.send(c.pending)
 	c.cancelTimer()
@@ -198,14 +196,18 @@ func (c *Client) Deliver(msg Message) {
 		c.phase = c.Span.StartChild(c.eng.Now(), "dhcp-request")
 		c.transmit(true)
 	case msg.Type == Ack && c.state == stateRequesting:
-		c.obsAcks.Inc()
+		if c.Tally != nil {
+			c.Tally.Acks++
+		}
 		c.cancelTimer()
 		c.phase.EndStatus(c.eng.Now(), "ok")
 		c.phase = nil
 		c.state = stateBound
 		c.done(Lease{IP: msg.YourIP, Server: msg.ServerIP, LeaseSecs: msg.LeaseSecs}, true)
 	case msg.Type == Nak && c.state == stateRequesting:
-		c.obsNaks.Inc()
+		if c.Tally != nil {
+			c.Tally.Naks++
+		}
 		// Cached lease rejected: restart with Discover inside the same
 		// window if any time remains.
 		if c.eng.Now() >= c.deadline {

@@ -223,6 +223,8 @@ func TestClientFailsWhenServerSilent(t *testing.T) {
 	s := instantServer(eng)
 	cfg := ClientConfig{RetryTimeout: 100 * time.Millisecond, AcquireWindow: time.Second}
 	c, _, ok, _ := loopback(eng, s, cfg, 1.0, 4) // 100% loss
+	var tally Counts
+	c.Tally = &tally
 	c.Start(nil)
 	eng.RunAll()
 	if *ok {
@@ -231,8 +233,8 @@ func TestClientFailsWhenServerSilent(t *testing.T) {
 	if got := eng.Now(); got < cfg.AcquireWindow || got > cfg.AcquireWindow+2*cfg.RetryTimeout {
 		t.Fatalf("gave up at %v, want ≈%v", got, cfg.AcquireWindow)
 	}
-	if c.Retransmits < 5 {
-		t.Fatalf("retransmits = %d, want several within the window", c.Retransmits)
+	if tally.Retransmits < 5 || tally.Acks != 0 || tally.Naks != 0 {
+		t.Fatalf("tally = %+v, want several retransmits within the window and no replies", tally)
 	}
 }
 

@@ -201,8 +201,8 @@ func (v *VIF) sendAuth() {
 				Channel: int(v.channel),
 				Value:   int64(v.AuthAttempts),
 			})
-		} else if v.drv.events.Enabled() {
-			v.drv.suppressed++
+		} else {
+			v.drv.events.AddSuppressed(1)
 		}
 		body := dot11.AuthBody{SeqNum: 1}
 		v.drv.radio.Send(dot11.Frame{
@@ -227,8 +227,8 @@ func (v *VIF) sendAssoc() {
 				Channel: int(v.channel),
 				Value:   int64(v.AssocAttempts),
 			})
-		} else if v.drv.events.Enabled() {
-			v.drv.suppressed++
+		} else {
+			v.drv.events.AddSuppressed(1)
 		}
 		v.drv.radio.Send(dot11.Frame{
 			Type:  dot11.TypeAssocReq,

@@ -304,12 +304,12 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestObsWiring: counters, per-pool gauges, and the typed event stream
-// reflect the allocation lifecycle.
+// TestObsWiring: typed stats, per-pool occupancy, and the typed event
+// stream reflect the allocation lifecycle.
 func TestObsWiring(t *testing.T) {
 	rec := obs.NewRecorder()
 	m := twoPoolManager(t, 0)
-	m.SetObs(rec.World(), rec.Metrics())
+	m.SetObs(rec.World())
 	b, err := m.Bind("ap", "seg")
 	if err != nil {
 		t.Fatal(err)
@@ -322,18 +322,18 @@ func TestObsWiring(t *testing.T) {
 	}
 	b.SweepExpired(2 * ttl)
 
-	reg := rec.Metrics()
-	if got := reg.Counter("ipam.allocs").Value(); got != 3 {
-		t.Fatalf("ipam.allocs = %d, want 3", got)
+	st := m.Stats()
+	if st.Allocs != 3 {
+		t.Fatalf("allocs = %d, want 3", st.Allocs)
 	}
-	if got := reg.Counter("ipam.failovers").Value(); got != 1 {
-		t.Fatalf("ipam.failovers = %d, want 1", got)
+	if st.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", st.Failovers)
 	}
-	if got := reg.Counter("ipam.reclaimed").Value(); got != 3 {
-		t.Fatalf("ipam.reclaimed = %d, want 3", got)
+	if st.Reclaimed != 3 {
+		t.Fatalf("reclaimed = %d, want 3", st.Reclaimed)
 	}
-	if got := reg.Gauge("ipam.pool.primary.used").Value(); got != 0 {
-		t.Fatalf("primary used gauge = %d after sweep, want 0", got)
+	if p := m.Status()[0]; p.Name != "primary" || p.InUse != 0 {
+		t.Fatalf("primary status after sweep = %+v, want in-use 0", p)
 	}
 
 	var kinds []obs.Kind

@@ -89,9 +89,6 @@ type Config struct {
 	// Events, when non-nil, receives the module's structured timeline
 	// (join pipeline stages, DHCP message arrivals, lease renewals).
 	Events *obs.ClientLog
-	// Obs, when non-nil, resolves counters here and in the DHCP clients
-	// the module spawns. Nil disables instrumentation.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns Spider's deployed settings: single channel 1,
@@ -294,6 +291,9 @@ type Stats struct {
 	CacheFastJoins int
 	LeaseRenewals  int // successful in-place DHCP renewals
 	RenewalFails   int // failed renewals (each demotes its link)
+	// DHCP tallies the messages of every DHCP client the module spawns,
+	// joins and renewals alike, including exchanges still in flight.
+	DHCP dhcp.Counts
 }
 
 // LMM is the link management module.
@@ -342,7 +342,6 @@ type LMM struct {
 // begins selecting APs immediately.
 func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 	cfg = cfg.withDefaults()
-	cfg.DHCP.Obs = cfg.Obs
 	m := &LMM{
 		eng:          eng,
 		rng:          rng,
@@ -717,6 +716,7 @@ func (c *conn) startDHCP() {
 			c.startConnTest()
 		})
 	c.dhcpCli.Span = c.joinSpan
+	c.dhcpCli.Tally = &m.stats.DHCP
 	c.dhcpCli.Start(cached)
 }
 
@@ -792,6 +792,7 @@ func (c *conn) renewLease() {
 			}
 			c.armRenewal()
 		})
+	c.dhcpCli.Tally = &m.stats.DHCP
 	c.dhcpCli.Start(&cached)
 }
 

@@ -120,15 +120,17 @@ func (h *Histogram) Buckets() (idx []int, counts []int64) {
 	return idx, counts
 }
 
-// Registry resolves named instruments. Resolution (construction-time)
-// takes a lock; the returned instruments are lock-free. A nil registry
-// resolves nil instruments, disabling recording with no branches beyond
-// the instruments' own nil checks.
+// Registry resolves named instruments and, through SetView, renders
+// counts that live elsewhere. Resolution (construction-time) takes a
+// lock; the returned instruments are lock-free. A nil registry resolves
+// nil instruments, disabling recording with no branches beyond the
+// instruments' own nil checks.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	view     func() []Metric
 }
 
 // NewRegistry returns an empty registry.
@@ -195,14 +197,27 @@ type Metric struct {
 	Sum int64
 }
 
-// Snapshot returns every instrument sorted by (type, name) — a
-// deterministic order suitable for artifact export.
+// SetView installs the registry's read-time source: every Snapshot
+// merges fn's samples with the stored instruments, so a count whose only
+// storage is its owner's typed stats renders without a second copy. fn
+// runs on the snapshotting goroutine, which must be one allowed to read
+// what fn reads. No-op on a nil registry.
+func (r *Registry) SetView(fn func() []Metric) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.view = fn
+	r.mu.Unlock()
+}
+
+// Snapshot returns every instrument and view sample sorted by (type,
+// name) — a deterministic order suitable for artifact export.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for n, c := range r.counters {
 		out = append(out, Metric{Name: n, Type: "counter", Value: c.Value()})
@@ -213,6 +228,11 @@ func (r *Registry) Snapshot() []Metric {
 	for n, h := range r.hists {
 		out = append(out, Metric{Name: n, Type: "histogram", Value: h.Count(), Sum: h.Sum()})
 	}
+	view := r.view
+	r.mu.Unlock()
+	if view != nil {
+		out = append(out, view()...)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Type != out[j].Type {
 			return out[i].Type < out[j].Type
@@ -220,19 +240,6 @@ func (r *Registry) Snapshot() []Metric {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// Render prints the snapshot as stable "type name value [sum]" lines.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	for _, m := range r.Snapshot() {
-		if m.Type == "histogram" {
-			fmt.Fprintf(&b, "%s %s count=%d sum=%d\n", m.Type, m.Name, m.Value, m.Sum)
-			continue
-		}
-		fmt.Fprintf(&b, "%s %s %d\n", m.Type, m.Name, m.Value)
-	}
-	return b.String()
 }
 
 // promName sanitizes a registry instrument name into the Prometheus

@@ -1,6 +1,7 @@
 // Package obs is the structured observability subsystem: a per-client
 // typed event log recorded in simulation time, a lightweight counter/
-// gauge/histogram registry, and the wall-clock seam every telemetry
+// gauge/histogram registry whose view hook renders counts kept in the
+// layers' own typed stats, and the wall-clock seam every telemetry
 // consumer reads through.
 //
 // Three properties make it safe to leave wired into the hot paths:
@@ -12,9 +13,9 @@
 //     instrumented run computes exactly what an uninstrumented one does.
 //  2. Near-zero disabled cost. Every entry point is nil-safe: a nil
 //     *ClientLog, *Counter, or *Registry turns the call into a single
-//     pointer test. Components resolve their instruments once at
-//     construction, so hot paths pay one atomic add when recording is
-//     enabled and one nil check when it is not.
+//     pointer test. Simulation layers count in plain typed stats and the
+//     registry reads them only when a snapshot is taken (Registry.SetView),
+//     so hot paths pay no metrics cost at all.
 //  3. No dependencies. The package imports only the sim kernel and the
 //     standard library, so every layer — phy, driver, dhcp, lmm, chaos,
 //     core, fleet — can thread it without import cycles.

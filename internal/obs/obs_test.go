@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -205,6 +206,26 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	idx, counts := h.Buckets()
 	if len(idx) != 2 || counts[0] != 1 || counts[1] != 1 {
 		t.Fatalf("histogram buckets: idx=%v counts=%v", idx, counts)
+	}
+}
+
+// TestRegistryViewReadsAtSnapshot: view samples are read when the
+// snapshot is taken and sort in among the stored instruments.
+func TestRegistryViewReadsAtSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("b").Inc()
+	live := int64(1)
+	reg.SetView(func() []Metric {
+		return []Metric{{Name: "level", Type: "gauge", Value: live}, {Name: "a", Type: "counter", Value: live}}
+	})
+	live = 7
+	var got []string
+	for _, m := range reg.Snapshot() {
+		got = append(got, fmt.Sprintf("%s %s %d", m.Type, m.Name, m.Value))
+	}
+	want := []string{"counter a 7", "counter b 1", "gauge level 7"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("snapshot = %v, want %v", got, want)
 	}
 }
 

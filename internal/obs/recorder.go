@@ -321,12 +321,12 @@ func (l *ClientLog) Chatty() bool {
 // ChattyFlag reads the sampling decision without counting a suppressed
 // emission. Hot emitters (the driver's probe path) cache this immutable
 // flag next to their own state — re-reading the log per emission is a
-// cache miss per event at population scale — count suppressions locally,
-// and settle the total through AddSuppressed on their publish cadence.
+// cache miss per event at population scale — and settle each emission
+// the flag swallows through AddSuppressed.
 func (l *ClientLog) ChattyFlag() bool { return l != nil && l.chatty }
 
-// AddSuppressed folds locally-counted suppressed emissions into the
-// recorder's total (see ChattyFlag). No-op on a nil log.
+// AddSuppressed adds n suppressed emissions to the recorder's total
+// (see ChattyFlag). No-op on a nil log.
 func (l *ClientLog) AddSuppressed(n int64) {
 	if l == nil || n == 0 {
 		return

@@ -414,9 +414,11 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Prometheus text exposition, rendered loop-side so the counters are
-	// a quiescent snapshot. Line order is pinned (sorted by type, name)
-	// so two scrapes of the same state are byte-identical.
+	// Prometheus text exposition, rendered loop-side: the registry view
+	// reads the layers' typed stats, which only the loop may touch, so
+	// every scrape is an exact quiescent snapshot. Line order is pinned
+	// (sorted by type, name) so two scrapes of the same state are
+	// byte-identical.
 	v, code, err := d.ask(func() (any, error) {
 		return d.srv.Recorder().Metrics().RenderPrometheus(), nil
 	})

@@ -234,12 +234,10 @@ type Aggregator struct {
 	lastProbe Probe
 	haveProbe bool
 
-	fl       flight
-	sloBad   map[string]bool
-	finished bool
-
-	mWindows    *obs.Counter
-	mViolations *obs.Counter
+	fl            flight
+	sloBad        map[string]bool
+	sloViolations int64 // healthy-to-violated SLO transitions
+	finished      bool
 }
 
 // New builds an aggregator; zero-value fields of cfg take the package
@@ -266,8 +264,8 @@ func (a *Aggregator) Window() sim.Time {
 }
 
 // Bind subscribes the aggregator to a recorder's event and span streams
-// and adopts its world log for health emission and its registry for the
-// live counters. Call once, before the run starts.
+// and adopts its world log for health emission. Call once, before the
+// run starts.
 func (a *Aggregator) Bind(rec *obs.Recorder) {
 	if a == nil || rec == nil {
 		return
@@ -284,8 +282,6 @@ func (a *Aggregator) Bind(rec *obs.Recorder) {
 	if rec.Streaming() {
 		rec.SetChattyPolicy(a.fl.sampled)
 	}
-	a.mWindows = rec.Metrics().Counter("telemetry.windows_closed")
-	a.mViolations = rec.Metrics().Counter("telemetry.slo_violations")
 }
 
 // SetProbe registers the cumulative-counter snapshot callback sampled at
@@ -612,7 +608,7 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 		kind := obs.KindHealthRecovered
 		if bad {
 			kind = obs.KindHealthViolation
-			a.mViolations.Inc()
+			a.sloViolations++
 		}
 		a.rec.Client(obs.WorldClient).Emit(obs.Event{
 			At:    end,
@@ -623,12 +619,20 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 	}
 
 	a.windows = append(a.windows, w)
-	a.mWindows.Inc()
 	if a.cfg.MaxWindows > 0 && len(a.windows) > a.cfg.MaxWindows {
 		drop := len(a.windows) - a.cfg.MaxWindows
 		a.droppedWindows += int64(drop)
 		a.windows = append(a.windows[:0], a.windows[drop:]...)
 	}
+}
+
+// Counts returns how many windows have closed (retained or dropped) and
+// how many healthy-to-violated SLO transitions they fired (0, 0 on nil).
+func (a *Aggregator) Counts() (windowsClosed, sloViolations int64) {
+	if a == nil {
+		return 0, 0
+	}
+	return int64(len(a.windows)) + a.droppedWindows, a.sloViolations
 }
 
 // Windows returns the closed windows in index order. The slice is the
