@@ -138,7 +138,7 @@ func Decode(data []byte) (Frame, error) {
 		return f, ErrBadFCS
 	}
 	f.Type = FrameType(data[0])
-	if _, ok := frameTypeNames[f.Type]; !ok {
+	if f.Type < TypeBeacon || f.Type > TypeAck {
 		return f, ErrBadType
 	}
 	flags := data[1]

@@ -87,9 +87,11 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(wire); err != ErrBadFCS {
 		t.Fatalf("corrupt: err = %v, want ErrBadFCS", err)
 	}
-	bad := Frame{Type: FrameType(200), Addr1: MAC(1)}
-	if _, err := Decode(bad.Bytes()); err != ErrBadType {
-		t.Fatalf("bad type: err = %v, want ErrBadType", err)
+	for _, ft := range []FrameType{0, TypeAck + 1, 200} {
+		bad := Frame{Type: ft, Addr1: MAC(1)}
+		if _, err := Decode(bad.Bytes()); err != ErrBadType {
+			t.Fatalf("type %d: err = %v, want ErrBadType", ft, err)
+		}
 	}
 }
 

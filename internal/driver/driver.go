@@ -150,6 +150,11 @@ type Driver struct {
 	// OnChannelActive, if set, fires each time the radio settles on a
 	// channel (after the PS-Poll flush).
 	OnChannelActive func(ch dot11.Channel)
+	// OnScanInsert, if set, fires after each beacon or probe response is
+	// written to the scan table. Inserts are the only way the table grows
+	// (expiry only shrinks it), so a consumer that saw it empty can sleep
+	// until this fires.
+	OnScanInsert func()
 }
 
 // New creates a driver with its radio attached to medium at the mobile
@@ -452,6 +457,9 @@ func (d *Driver) onFrame(f dot11.Frame, info phy.RxInfo) {
 				RSSI:     info.RSSI,
 				Open:     body.Capabilities&0x0010 == 0,
 				LastSeen: info.At,
+			}
+			if d.OnScanInsert != nil {
+				d.OnScanInsert()
 			}
 		}
 	case dot11.TypeAuthResp, dot11.TypeAssocResp:

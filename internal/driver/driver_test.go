@@ -510,3 +510,42 @@ func TestTxAirtimeGrowsWithTraffic(t *testing.T) {
 		t.Fatalf("TxAirtime did not grow: %v", got)
 	}
 }
+
+// OnScanInsert fires for exactly the frames that write the scan table:
+// beacons and probe responses with a well-formed body.
+func TestScanInsertHookFiresOnlyOnInserts(t *testing.T) {
+	r := newRig(t, Config{ProbeInterval: -1})
+	fired := 0
+	r.drv.OnScanInsert = func() { fired++ }
+	body := (&dot11.BeaconBody{SSID: "net", BeaconInterval: 100}).AppendTo(nil)
+	info := phy.RxInfo{Channel: dot11.Channel1, RSSI: -50}
+	for ft := dot11.TypeBeacon; ft <= dot11.TypeAck; ft++ {
+		fired = 0
+		f := dot11.Frame{Type: ft, Addr1: r.drv.MAC(), Addr2: dot11.MAC(1001), Addr3: dot11.MAC(1001), Body: body}
+		r.drv.onFrame(f, info)
+		want := 0
+		if ft == dot11.TypeBeacon || ft == dot11.TypeProbeResp {
+			want = 1
+		}
+		if fired != want {
+			t.Fatalf("%v: hook fired %d times, want %d", ft, fired, want)
+		}
+	}
+	fired = 0
+	r.drv.onFrame(dot11.Frame{Type: dot11.TypeBeacon, Addr3: dot11.MAC(1002), Body: []byte{0}}, info)
+	if fired != 0 {
+		t.Fatal("hook fired for a beacon whose body failed to decode")
+	}
+
+	// End to end: a live AP's beacons and probe responses reach the table
+	// through the hook.
+	r = newRig(t, Config{ProbeInterval: 200 * time.Millisecond})
+	fired = 0
+	r.drv.OnScanInsert = func() { fired++ }
+	r.addAP(dot11.Channel1, 1)
+	r.drv.SetSchedule([]Slot{{Channel: dot11.Channel1}})
+	r.run(time.Second)
+	if fired == 0 || len(r.drv.ScanTable()) != 1 {
+		t.Fatalf("hook fired %d times, scan entries %d; want inserts from the live AP", fired, len(r.drv.ScanTable()))
+	}
+}

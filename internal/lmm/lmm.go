@@ -330,6 +330,13 @@ type LMM struct {
 	candScratch []driver.ScanEntry
 	idleScratch []*conn
 
+	// scanIdle is set by a heuristic-policy reselect pass that found the
+	// scan table empty; later passes return at once until the driver's
+	// OnScanInsert hook (wake) clears it. Such a pass is a no-op: no
+	// steering target is visible and no candidate exists, and only an
+	// insert can make the table non-empty again.
+	scanIdle bool
+
 	// OnLinkUp and OnLinkDown notify the upper layer.
 	OnLinkUp   func(*Link)
 	OnLinkDown func(*Link)
@@ -364,6 +371,10 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 	for _, v := range drv.VIFs() {
 		m.conns = append(m.conns, &conn{m: m, vif: v})
 	}
+	drv.OnScanInsert = m.wake
+	// The ticker keeps firing while scan-idle: its event lineage fixes
+	// the order of same-instant events, so the first pass after a wake
+	// lands on exactly the tick a polling pass would have used.
 	m.stopSelect = eng.Ticker(cfg.ReselectInterval, m.reselect)
 	return m
 }
@@ -371,6 +382,7 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 // Close stops the module.
 func (m *LMM) Close() {
 	m.stopSelect()
+	m.drv.OnScanInsert = nil
 	for _, c := range m.conns {
 		if c.state == connUp {
 			c.link.DownCause = "shutdown"
@@ -569,8 +581,14 @@ func (m *LMM) steerToTarget(now sim.Time) {
 	}
 }
 
+// wake ends scan-idle: the driver inserted a scan-table entry.
+func (m *LMM) wake() { m.scanIdle = false }
+
 // reselect assigns idle interfaces to the best candidate APs.
 func (m *LMM) reselect() {
+	if m.scanIdle {
+		return
+	}
 	now := m.eng.Now()
 	if m.cfg.Alloc != nil {
 		// Refresh the policy's channel-load inference at the reselect
@@ -597,8 +615,13 @@ func (m *LMM) reselect() {
 	if now < m.globalBackoff {
 		return // stock dhclient idling after a failed acquisition
 	}
+	table := m.drv.ScanTable()
+	if len(table) == 0 && m.cfg.Alloc == nil {
+		m.scanIdle = true // the Alloc policy must Observe every tick
+		return
+	}
 	cands := m.candScratch[:0]
-	for _, e := range m.drv.ScanTable() {
+	for _, e := range table {
 		if !e.Open || !m.schedChans[e.Channel] || e.RSSI < m.cfg.MinRSSI {
 			continue
 		}

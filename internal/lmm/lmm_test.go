@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"spider/internal/alloc"
 	"spider/internal/ap"
 	"spider/internal/dhcp"
 	"spider/internal/dot11"
@@ -533,5 +534,85 @@ func TestRecoveryAfterAPCrashReboot(t *testing.T) {
 	}
 	if len(r.m.ActiveLinks()) != 1 {
 		t.Fatal("recovered link not active")
+	}
+}
+
+// A client that has heard nothing sleeps through its reselect ticks, yet
+// joins on the first 100 ms tick after the first scan-table insert: the
+// instant a polling pass would have found the AP.
+func TestScanIdleWakesOnFirstInsert(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched()})
+	var firstInsert sim.Time
+	wake := r.drv.OnScanInsert
+	r.drv.OnScanInsert = func() {
+		if firstInsert == 0 {
+			firstInsert = r.eng.Now()
+		}
+		wake()
+	}
+	r.run(time.Second)
+	if !r.m.scanIdle {
+		t.Fatal("module not scan-idle after 1 s of silence")
+	}
+	r.addAP(dot11.Channel1, 1, true)
+	r.run(10 * time.Second)
+	if firstInsert == 0 {
+		t.Fatal("no scan-table insert after the AP appeared")
+	}
+	tick := r.m.cfg.ReselectInterval
+	if firstInsert%tick == 0 {
+		t.Fatalf("insert at %v lies on the reselect grid; the expected tick is ambiguous", firstInsert)
+	}
+	want := (firstInsert/tick + 1) * tick
+	joins := r.m.Joins()
+	if len(joins) == 0 {
+		t.Fatal("no join recorded after the AP appeared")
+	}
+	if joins[0].Start != want {
+		t.Fatalf("join started at %v, want %v (first reselect tick after the insert at %v)", joins[0].Start, want, firstInsert)
+	}
+}
+
+func TestCloseWhileScanIdleClearsHook(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched()})
+	if r.drv.OnScanInsert == nil {
+		t.Fatal("New did not install the scan-insert hook")
+	}
+	r.run(time.Second)
+	if !r.m.scanIdle {
+		t.Fatal("module not scan-idle after 1 s of silence")
+	}
+	r.m.Close()
+	if r.drv.OnScanInsert != nil {
+		t.Fatal("Close left the scan-insert hook installed")
+	}
+}
+
+// The alloc policy samples carrier sense on every reselect pass, so a
+// module that runs one never goes scan-idle: with the scan table empty and
+// a jammer loading the channel, the sensed load moves on every tick.
+func TestAllocPolicyObservesEveryTickWithEmptyScanTable(t *testing.T) {
+	pol := alloc.NewPolicy(alloc.Config{Variant: alloc.Decentralized}, 7, phy.Defaults())
+	r := newRig(t, Config{Schedule: ch1Sched(), Alloc: pol})
+	jammer := r.medium.NewRadio(dot11.MAC(500), func() geo.Point { return geo.Point{X: 5} })
+	r.eng.Ticker(30*time.Millisecond, func() {
+		jammer.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.Broadcast, Body: make([]byte, 400)}, nil)
+	})
+	tick := r.m.cfg.ReselectInterval
+	r.run(tick + tick/2) // two passes: the second has a sample to difference
+	prev := pol.Load(dot11.Channel1)
+	for i := 0; i < 10; i++ {
+		r.run(tick)
+		if n := len(r.drv.ScanTable()); n != 0 {
+			t.Fatalf("scan table holds %d entries, want none", n)
+		}
+		if r.m.scanIdle {
+			t.Fatal("module with an alloc policy went scan-idle")
+		}
+		load := pol.Load(dot11.Channel1)
+		if load == prev {
+			t.Fatalf("tick %d: sensed load stayed %v; Observe did not run", i, load)
+		}
+		prev = load
 	}
 }

@@ -684,9 +684,9 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 	}
 	m.stats.FramesLost++
 	if attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
-		retry := f
-		retry.Retry = true
-		m.transmit(src, ch, retry, m.retryWire(retry, wire), attempt+1, status)
+		wire = m.retryWire(f, wire)
+		f.Retry = true
+		m.transmit(src, ch, f, wire, attempt+1, status)
 		return
 	}
 	m.stats.UnicastFailed++
@@ -695,12 +695,16 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 	}
 }
 
-// retryWire re-serializes only when the retry flag changes the wire image.
+// retryWire returns the wire image of f's retransmission. Only the first
+// retry changes the bytes (it sets the retry flag); once f carries the flag,
+// prev is already that image and is reused. Arena chunks are never
+// recycled, so prev stays valid for every later attempt.
 func (m *Medium) retryWire(f dot11.Frame, prev []byte) []byte {
 	if f.Retry {
-		return f.AppendTo(m.wires.Take(f.WireLen()))
+		return prev
 	}
-	return prev
+	f.Retry = true
+	return f.AppendTo(m.wires.Take(f.WireLen()))
 }
 
 func (m *Medium) deliverTo(rx *Radio, wire []byte, ch dot11.Channel, dist float64) {

@@ -90,6 +90,37 @@ func TestUnicastToAbsentStationFails(t *testing.T) {
 	}
 }
 
+// Only the first retry changes a frame's bytes (it sets the retry flag),
+// so every later retry must go on air from that same image rather than a
+// fresh copy.
+func TestRetriesShareOneRetryImage(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMedium(eng, sim.NewRNG(1), lossless())
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	var wires [][]byte
+	m.SetTap(func(_ dot11.Channel, wire []byte, _ sim.Time) { wires = append(wires, wire) })
+	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(99), Body: []byte("payload")}, nil)
+	eng.RunAll()
+	limit := Defaults().RetryLimit
+	if len(wires) != limit+1 {
+		t.Fatalf("tap saw %d images, want one per attempt (%d)", len(wires), limit+1)
+	}
+	first, err := dot11.Decode(wires[0])
+	if err != nil || first.Retry {
+		t.Fatalf("first attempt: retry=%v err=%v, want a clean decode without the retry flag", first.Retry, err)
+	}
+	retry1 := wires[1]
+	f, err := dot11.Decode(retry1)
+	if err != nil || !f.Retry {
+		t.Fatalf("first retry: retry=%v err=%v, want the retry flag set", f.Retry, err)
+	}
+	for i, w := range wires[2:] {
+		if &w[0] != &retry1[0] || len(w) != len(retry1) {
+			t.Fatalf("retry %d re-encoded its image instead of reusing the first retry's", i+2)
+		}
+	}
+}
+
 func TestChannelIsolation(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
