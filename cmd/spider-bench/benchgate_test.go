@@ -27,7 +27,6 @@ func TestBenchGateFailsOnSkewedBaseline(t *testing.T) {
 	copy(skewed.Records, fresh.Records)
 	for i := range skewed.Records {
 		skewed.Records[i].WallNS /= 10
-		skewed.Records[i].NSPerClient /= 10
 		skewed.Records[i].Allocs /= 10
 		skewed.Records[i].AllocBytes /= 10
 	}

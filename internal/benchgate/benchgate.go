@@ -1,19 +1,96 @@
-// Package benchgate implements the population benchmark regression gate:
-// it compares a fresh BENCH_population-style measurement against a
-// committed baseline and flags rungs whose cost grew (wall time,
-// allocations) or whose delivered goodput shrank beyond a threshold.
-// The comparison logic is pure so the gate's pass/fail decision is unit-
-// testable without running benchmarks; cmd/spider-bench -benchgate wires
-// it to a live measurement and turns failures into a non-zero exit.
+// Package benchgate holds the repository's one timing protocol, Paired,
+// and the population benchmark regression gate: it compares a fresh
+// BENCH_population-style measurement against a committed baseline and
+// flags rungs whose cost grew (wall time, allocations) or whose delivered
+// goodput shrank beyond a threshold. The comparison logic is pure so the
+// gate's pass/fail decision is unit-testable without running benchmarks;
+// cmd/spider-bench -benchgate wires it to a live measurement and turns
+// failures into a non-zero exit.
 package benchgate
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
+	"syscall"
+	"time"
 )
+
+// Sample is one arm's cost summed over its timed runs in Paired.
+type Sample struct {
+	Wall time.Duration
+	// CPU is process CPU time (getrusage, user+system). It is immune to
+	// involuntary scheduling gaps, so it is often the steadier of the two.
+	CPU     time.Duration
+	Mallocs uint64
+	Bytes   uint64
+	// Ratios holds, per round, this arm's wall time over the first arm's
+	// in the same round (nil for the first arm): their median and IQR
+	// show the spread that the sum-based figure averages away.
+	Ratios []float64
+}
+
+// Paired times arms with the repository's one measurement protocol. Each
+// arm first runs once untimed (page faults, allocator growth); then each
+// of pairs rounds runs every arm once, in forward order on even rounds
+// and reversed on odd ones, with a forced GC before each timed run. The
+// returned samples are per-arm sums. Sums over alternating rounds, not a
+// per-arm minimum or a single run, cancel position effects and average
+// machine noise: a ~300 ms run moves by ±10% on a busy host, and the same
+// binary once measured 1% and 14% overhead on consecutive min-of-3
+// attempts.
+func Paired(pairs int, arms ...func()) []Sample {
+	for _, arm := range arms {
+		arm()
+	}
+	out := make([]Sample, len(arms))
+	walls := make([]time.Duration, len(arms))
+	for r := 0; r < pairs; r++ {
+		for k := range arms {
+			i := k
+			if r%2 == 1 {
+				i = len(arms) - 1 - k
+			}
+			walls[i] = timed(arms[i], &out[i])
+		}
+		for i := 1; i < len(arms); i++ {
+			out[i].Ratios = append(out[i].Ratios, float64(walls[i])/float64(walls[0]))
+		}
+	}
+	return out
+}
+
+// timed runs f once after a forced GC, adds its cost to s, and returns
+// its wall time.
+func timed(f func(), s *Sample) time.Duration {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cpu := cpuTime()
+	start := time.Now()
+	f()
+	wall := time.Since(start)
+	s.CPU += cpuTime() - cpu
+	runtime.ReadMemStats(&after)
+	s.Wall += wall
+	s.Mallocs += after.Mallocs - before.Mallocs
+	s.Bytes += after.TotalAlloc - before.TotalAlloc
+	return wall
+}
+
+// cpuTime is the process's user+system CPU time so far; 0 if getrusage
+// fails, which makes the CPU figure read as no cost rather than abort a
+// measurement whose wall time is still valid.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
 
 // Record is one population rung's performance sample — the JSON layout of
 // BENCH_population.json entries.
@@ -26,15 +103,11 @@ type Record struct {
 	Telemetry     bool    `json:"telemetry,omitempty"`
 	AggregateKBps float64 `json:"aggregate_kbps"`
 	JainFairness  float64 `json:"jain_fairness"`
-	// WallNS is the rung's single-run wall time (the experiment's ns/op).
-	WallNS      int64  `json:"wall_ns"`
-	NSPerClient int64  `json:"ns_per_client"`
-	Allocs      uint64 `json:"allocs"`
-	AllocBytes  uint64 `json:"alloc_bytes"`
-	// AllocsPerClient is Allocs/Clients — the per-rung allocation delta
-	// normalized for ladder position, the number the pooling work in the
-	// hot paths is judged by.
-	AllocsPerClient uint64 `json:"allocs_per_client,omitempty"`
+	// WallNS, Allocs and AllocBytes are the mean cost of one run of the
+	// rung (the experiment's ns/op and allocs/op).
+	WallNS     int64  `json:"wall_ns"`
+	Allocs     uint64 `json:"allocs"`
+	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
 // File is the BENCH_population.json layout: the repo's population perf
@@ -120,7 +193,7 @@ const JainGateMinClients = 256
 // Compare flags regressions of current against baseline. Aggregate
 // goodput regresses when it drops by more than threshold — a perf gate
 // should also catch "faster because it silently does less". Wall time is
-// inherently noisy even as a min-of-trials on a shared machine, so it
+// inherently noisy even as a mean of paired runs on a shared machine, so it
 // gets twice the threshold: a real 2x slowdown still trips it, scheduler
 // jitter does not. Allocation count and bytes are deterministic, so they
 // gate on the separate, stricter allocThreshold (<=0 selects

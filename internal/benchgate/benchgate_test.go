@@ -11,11 +11,11 @@ func sample() File {
 	return File{
 		Seed: 1, Scale: 0.05, NumCPU: 8,
 		Records: []Record{
-			{Clients: 1, AggregateKBps: 100, WallNS: 100e6, NSPerClient: 100e6, Allocs: 1000, AllocBytes: 1 << 20},
-			{Clients: 8, AggregateKBps: 400, WallNS: 140e6, NSPerClient: 17e6, Allocs: 8000, AllocBytes: 8 << 20},
-			{Clients: 64, AggregateKBps: 900, WallNS: 200e6, NSPerClient: 3e6, Allocs: 64000, AllocBytes: 64 << 20, JainFairness: 0.60},
-			{Clients: 256, AggregateKBps: 700, WallNS: 300e6, NSPerClient: 1.2e6, Allocs: 128000, AllocBytes: 128 << 20, JainFairness: 0.50},
-			{Clients: 1024, AggregateKBps: 500, WallNS: 500e6, NSPerClient: 0.5e6, Allocs: 256000, AllocBytes: 256 << 20, JainFairness: 0.40},
+			{Clients: 1, AggregateKBps: 100, WallNS: 100e6, Allocs: 1000, AllocBytes: 1 << 20},
+			{Clients: 8, AggregateKBps: 400, WallNS: 140e6, Allocs: 8000, AllocBytes: 8 << 20},
+			{Clients: 64, AggregateKBps: 900, WallNS: 200e6, Allocs: 64000, AllocBytes: 64 << 20, JainFairness: 0.60},
+			{Clients: 256, AggregateKBps: 700, WallNS: 300e6, Allocs: 128000, AllocBytes: 128 << 20, JainFairness: 0.50},
+			{Clients: 1024, AggregateKBps: 500, WallNS: 500e6, Allocs: 256000, AllocBytes: 256 << 20, JainFairness: 0.40},
 		},
 	}
 }
@@ -170,7 +170,9 @@ func TestCompareIgnoresMissingRungs(t *testing.T) {
 func TestLoadAndReport(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(path, []byte(`{"seed":1,"scale":0.05,"num_cpu":8,"records":[{"clients":1,"wall_ns":100000000,"allocs":1000,"alloc_bytes":1048576,"aggregate_kbps":100}]}`), 0o644); err != nil {
+	// Baselines recorded before the derived per-client fields were
+	// dropped still carry them; Load must ignore them.
+	if err := os.WriteFile(path, []byte(`{"seed":1,"scale":0.05,"num_cpu":8,"records":[{"clients":1,"wall_ns":100000000,"ns_per_client":100000000,"allocs":1000,"alloc_bytes":1048576,"allocs_per_client":1000,"aggregate_kbps":100}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Load(path)

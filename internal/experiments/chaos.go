@@ -49,7 +49,7 @@ func chaosPlan(crashesPerMin float64) chaos.Plan {
 
 // ChaosScenario returns the 2-crashes/min point of the chaos sweep as a
 // standalone scenario config — the representative faulted run that
-// spider-bench's -events export and the obs-overhead benchmark execute
+// spider-bench's -events export and -overhead measurement execute
 // directly, bypassing the fleet result cache so events are always
 // generated fresh.
 func ChaosScenario(o Options) core.ScenarioConfig {
